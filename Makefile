@@ -32,10 +32,13 @@
 #                    (+ the seeded -20% fixture MUST fail: anti-vacuity)
 #   make tournament-smoke - every lock backend through the schedule-kernel
 #                    oracle + a quick tournament sanity run
+#   make perfbench-test - perfbench (its own module) unit tests + a 1 s
+#                    read-hot smoke run, so core API changes that break the
+#                    benchmark fail here
 
 GO ?= go
 
-.PHONY: build vet test race bench check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -296,3 +299,10 @@ json-smoke:
 	$(GO) run ./cmd/solerobench -json /tmp/solero-suite.json -duration 20ms -runs 1 -inner 1 -threads 1,2
 	@grep -q '"schema": "solero-snapshot/v1"' /tmp/solero-suite.json || { echo "FAIL: schema missing from bundles"; exit 1; }
 	@echo "OK: json-smoke"
+
+# perfbench is its own module (`replace repro => ../`), so `make test` never
+# builds it: a change to an API it reads (core.Stats, backend, rmap) would
+# otherwise break the benchmark without failing CI.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload read-hot --seed 1 --seconds 1 --trace 0 >/dev/null

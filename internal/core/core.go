@@ -101,7 +101,7 @@ type Config struct {
 	// Metrics, when non-nil, feeds the observability registry: latency
 	// histograms for the slow paths, the abort-cause taxonomy, and sampled
 	// critical-section durations (see internal/metrics). Nil costs one
-	// predictable branch per hook and keeps the read fast path write-free.
+	// predictable branch per hook and adds no write to the read fast path.
 	Metrics *metrics.Registry
 	// MetricsSamplePeriod overrides the success-path cs_duration sampling
 	// period (rounded up to a power of two; 0 keeps the registry's current

@@ -10,47 +10,6 @@ import (
 	"repro/internal/sched"
 )
 
-// pRunToDone is an unreachable schedule point: a phase targeting it runs its
-// thread until the thread leaves the runnable set (ThreadDone or a Block).
-const pRunToDone = sched.Point(255)
-
-// schedPhase is one leg of a phased schedule: run tid until it parks at
-// until (or retires).
-type schedPhase struct {
-	tid   uint64
-	until sched.Point
-}
-
-// phasedStrategy pins an exact interleaving as a sequence of phases, then
-// drains the run round-robin. It is the point-aware counterpart of
-// sched.Priorities: a phase ends when its thread *arrives somewhere
-// specific*, not merely when it blocks.
-type phasedStrategy struct {
-	phases []schedPhase
-	idx    int
-	rr     int
-}
-
-func (s *phasedStrategy) Pick(_ int, runnable []sched.Runnable) uint64 {
-	for s.idx < len(s.phases) {
-		ph := s.phases[s.idx]
-		present, parked := false, false
-		for _, r := range runnable {
-			if r.TID == ph.tid {
-				present = true
-				parked = r.P == ph.until
-			}
-		}
-		if present && !parked {
-			return ph.tid
-		}
-		s.idx++
-	}
-	pick := runnable[s.rr%len(runnable)].TID
-	s.rr++
-	return pick
-}
-
 // assertAbortCounts checks the full taxonomy in one shot, so a test failure
 // shows any cause that leaked, not just the one asserted.
 func assertAbortCounts(t *testing.T, reg *metrics.Registry, want map[metrics.AbortCause]uint64) {
@@ -72,11 +31,11 @@ func TestAbortWriterRacedExactlyOnce(t *testing.T) {
 	reader := vm.Attach("reader")
 	writer := vm.Attach("writer")
 
-	strat := &phasedStrategy{phases: []schedPhase{
-		{reader.ID(), sched.PReadEnter}, // snapshot taken, body not yet run
-		{writer.ID(), pRunToDone},       // a full writing section races past
-		{reader.ID(), pRunToDone},       // validate → fail → abort → fallback
-	}}
+	strat := sched.Phased([]sched.Phase{
+		{TID: reader.ID(), Until: sched.PReadEnter}, // snapshot taken, body not yet run
+		{TID: writer.ID(), Until: sched.RunToDone},  // a full writing section races past
+		{TID: reader.ID(), Until: sched.RunToDone},  // validate → fail → abort → fallback
+	})
 	s := sched.NewScheduler(strat, 0)
 	reg := metrics.New(4)
 	l := New(&Config{
@@ -133,13 +92,13 @@ func TestAbortLockBitSetExactlyOnce(t *testing.T) {
 	reader := vm.Attach("reader")
 	writer := vm.Attach("writer")
 
-	strat := &phasedStrategy{phases: []schedPhase{
-		{reader.ID(), sched.PReadEnter},    // snapshot a free word
-		{writer.ID(), sched.PRelease},      // acquire, park before releasing
-		{reader.ID(), sched.PReadFallback}, // validate against a held word
-		{writer.ID(), pRunToDone},          // publish the release
-		{reader.ID(), pRunToDone},          // fallback acquires the free lock
-	}}
+	strat := sched.Phased([]sched.Phase{
+		{TID: reader.ID(), Until: sched.PReadEnter},    // snapshot a free word
+		{TID: writer.ID(), Until: sched.PRelease},      // acquire, park before releasing
+		{TID: reader.ID(), Until: sched.PReadFallback}, // validate against a held word
+		{TID: writer.ID(), Until: sched.RunToDone},     // publish the release
+		{TID: reader.ID(), Until: sched.RunToDone},     // fallback acquires the free lock
+	})
 	s := sched.NewScheduler(strat, 0)
 	reg := metrics.New(4)
 	l := New(&Config{

@@ -6,7 +6,7 @@ package core
 // parking, and the sole fast-path touch — the critical-section duration
 // sampling gate in ReadOnly/ReadMostly — is a per-stripe counter behind a
 // nil check, so a production config (Metrics == nil) pays one predictable
-// branch and the write-free read fast path stays write-free.
+// branch and the read fast path keeps its single stripe write.
 
 import (
 	"runtime"

@@ -62,7 +62,10 @@ func (s *Section) BeforeWrite() {
 		l.saved = s.v
 		s.holding, s.upgraded = true, true
 		s.popFrame()
-		l.st.stripeFor(t).inc(cUpgrades)
+		// The speculative attempt ends here, as an upgrade.
+		sp := l.st.stripeFor(t)
+		sp.inc(cElisionAttempts)
+		sp.inc(cUpgrades)
 		l.cfg.Tracer.Record(trace.EvUpgrade, t.ID(), s.v)
 		// An upgrade both acquires the lock and proves the reads so
 		// far: it is an Acquire for the counter-pairing oracle plus
@@ -81,8 +84,11 @@ func (s *Section) BeforeWrite() {
 		return
 	}
 	// Not holding and the snapshot is stale: acquire for real, then
-	// unwind so the section re-executes holding the lock.
-	l.st.stripeFor(t).inc(cUpgradeFailures)
+	// unwind so the section re-executes holding the lock. The
+	// speculative attempt ends here, as a restart.
+	sp := l.st.stripeFor(t)
+	sp.inc(cElisionAttempts)
+	sp.inc(cUpgradeFailures)
 	l.Lock(t)
 	s.holding = true
 	s.popFrame()
@@ -117,8 +123,7 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 	}
 	if l.cfg.DisableElision {
 		l.Lock(t)
-		defer l.Unlock(t)
-		fn(&Section{l: l, t: t, holding: true, framePopped: true})
+		l.runLockedSection(t, fn)
 		return
 	}
 	v := l.word.Load()
@@ -149,12 +154,7 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			}
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
-			if l.word.Load() == v {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
-				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				return
-			}
-			if l.slowReadExit(t, v) {
+			if l.word.Load() == v || l.slowReadExit(t, v) {
 				l.st.stripeFor(t).inc(cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
@@ -163,22 +163,22 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			// BeforeWrite acquired the lock after a failed upgrade;
 			// re-execute holding it.
 			l.st.stripeFor(t).inc(cFallbacks)
-			defer l.Unlock(t)
-			fn(&Section{l: l, t: t, holding: true, framePopped: true})
+			l.runLockedSection(t, fn)
 			return
 		case specFailed, specFailedAsync:
 			// fall through to the retry/fallback accounting
 		}
-		l.st.stripeFor(t).inc(cElisionFailures)
+		sp := l.st.stripeFor(t)
+		sp.inc(cElisionAttempts)
+		sp.inc(cElisionFailures)
 		l.recordAbort(t, outcome == specFailedAsync)
 		failures++
 		if failures >= l.cfg.MaxElisionFailures {
-			l.st.stripeFor(t).inc(cFallbacks)
+			sp.inc(cFallbacks)
 			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
 			l.Lock(t)
-			defer l.Unlock(t)
-			fn(&Section{l: l, t: t, holding: true, framePopped: true})
+			l.runLockedSection(t, fn)
 			return
 		}
 		v = l.word.Load()
@@ -188,21 +188,30 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 	}
 }
 
+// runLockedSection runs fn as a section that already holds l, releasing
+// the lock on the way out, panics included. Keeping the defer here keeps
+// it out of ReadMostly's retry loop.
+func (l *Lock) runLockedSection(t *jthread.Thread, fn func(*Section)) {
+	defer l.Unlock(t)
+	fn(&Section{l: l, t: t, holding: true, framePopped: true})
+}
+
 // runSpecUpgradable is runSpeculative extended with the upgrade protocol:
 // it distinguishes the restart-holding unwind, and treats faults raised
 // while holding (post-upgrade) as genuine, releasing the lock before
-// propagating them.
+// propagating them. Like runSpeculative it uses one deferred call that
+// reaches recover only when fn did not return. An upgrade or restart
+// already counted its attempt in BeforeWrite, so a fault raised after it
+// belongs to a held section, not to an elision attempt.
 func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section), s *Section) (outcome specOutcome) {
-	l.st.stripeFor(t).inc(cElisionAttempts)
 	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
+	returned := false
 	defer func() {
-		if !s.framePopped {
-			t.PopSpec()
-			s.framePopped = true
+		s.popFrame()
+		if returned {
+			return
 		}
-	}()
-	defer func() {
 		r := recover()
 		if r == nil {
 			return
@@ -211,29 +220,38 @@ func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section),
 			outcome = specRestartHolding
 			return
 		}
+		sp := l.st.stripeFor(t)
 		if s.holding {
 			// Reads are consistent once holding; the fault is
 			// genuine. Release and rethrow.
-			l.st.stripeFor(t).inc(cGenuineFaults)
+			if !s.upgraded {
+				sp.inc(cElisionAttempts)
+				sp.inc(cGenuineFaults)
+			}
 			l.Unlock(t)
 			panic(r)
 		}
 		if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
 			if ire.Word == &l.word {
-				l.st.stripeFor(t).inc(cAsyncAborts)
+				sp.inc(cAsyncAborts)
 				outcome = specFailedAsync
 				return
 			}
+			sp.inc(cElisionAttempts)
+			sp.inc(cElisionFailures)
+			l.recordAbort(t, true)
 			panic(r)
 		}
 		if l.word.Load() != v {
-			l.st.stripeFor(t).inc(cSuppressedFaults)
+			sp.inc(cSuppressedFaults)
 			outcome = specFailed
 			return
 		}
-		l.st.stripeFor(t).inc(cGenuineFaults)
+		sp.inc(cElisionAttempts)
+		sp.inc(cGenuineFaults)
 		panic(r)
 	}()
 	fn(s)
+	returned = true
 	return specOK
 }

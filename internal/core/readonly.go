@@ -28,8 +28,8 @@ import (
 // real lock acquisition, which bounds starvation.
 func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
 	// Sampled CS-duration timing: the gate is one predicted branch (nil
-	// registry) or a thread-local counter test, so the metrics-on fast
-	// path stays write-free; only the selected 1/period executions pay
+	// registry) or a thread-local counter test, so metrics add no shared
+	// write to the fast path; only the selected 1/period executions pay
 	// for a timestamp and a striped histogram record.
 	if m := l.cfg.Metrics; m != nil && t.SampleTick(m.CSSampleMask()) {
 		start := time.Now()
@@ -52,6 +52,11 @@ func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
 // execution of fn was a successful speculation — false when the section
 // ultimately ran holding the lock (reentrant entry, fat-mode entry, or
 // fallback), which is the signal the dynamic classification probes record.
+//
+// The loop holds no defer (the fallback runs through Sync): a defer in a
+// loop is heap-allocated and makes every call pay for the defer machinery.
+// A successful speculation writes one stats slot, because attempts are
+// counted when they end (sharded.go).
 func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean bool) bool {
 	v := l.word.Load()
 	l.cfg.Sched.Point(t.ID(), sched.PReadEnter)
@@ -70,21 +75,14 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 		}
 		var ok, async bool
 		if lean {
-			ok = l.runSpeculativeLean(t, fn)
+			ok = l.runSpeculativeLean(fn)
 		} else {
 			ok, async = l.runSpeculative(t, v, fn)
 		}
 		if ok {
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
-			if l.word.Load() == v {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
-				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
-				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				l.adaptiveRecord(t, false)
-				return true
-			}
-			if l.slowReadExit(t, v) {
+			if l.word.Load() == v || l.slowReadExit(t, v) {
 				l.st.stripeFor(t).inc(cElisionSuccesses)
 				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
@@ -92,7 +90,9 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 				return true
 			}
 		}
-		l.st.stripeFor(t).inc(cElisionFailures)
+		sp := l.st.stripeFor(t)
+		sp.inc(cElisionAttempts)
+		sp.inc(cElisionFailures)
 		l.cfg.Tracer.Record(trace.EvElideFailure, t.ID(), v)
 		l.recordAbort(t, async)
 		l.adaptiveRecord(t, true)
@@ -100,13 +100,11 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 		if failures >= maxFailures {
 			// Fallback (Figure 7's solero_slow_enter arm): run the
 			// section holding the lock.
-			l.st.stripeFor(t).inc(cFallbacks)
+			sp.inc(cFallbacks)
 			l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
 			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
-			l.Lock(t)
-			defer l.Unlock(t)
-			fn()
+			l.Sync(t, fn)
 			return false
 		}
 		v = l.word.Load()
@@ -138,6 +136,21 @@ func (l *Lock) runHolding(t *jthread.Thread, fn func()) {
 	fn()
 }
 
+// runSpeculativeLean runs fn speculatively with none of the §3.3 recovery
+// machinery: no speculative frame (asynchronous checkpoints cannot abort
+// it) and no panic handler. Sound only for sections the static analysis
+// proved recovery-free — unable to fault (no indexing, division, calls, or
+// deeper-than-one-hop dereferences) and unable to loop (an inconsistent
+// snapshot cannot spin without a checkpoint to break it). For those the
+// word-unchanged validation in readOnlyImpl is the entire protocol. A
+// panic escaping a lean section (which its proof rules out) propagates
+// uncounted.
+func (l *Lock) runSpeculativeLean(fn func()) bool {
+	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
+	fn()
+	return true
+}
+
 // runSpeculative runs fn with the speculative-read recovery machinery of
 // §3.3 armed: a speculative frame for asynchronous checkpoint validation,
 // and a catch-all handler that classifies any fault as inconsistent
@@ -147,40 +160,40 @@ func (l *Lock) runHolding(t *jthread.Thread, fn func()) {
 // (the abort-taxonomy split the failure arm records). Charges the ReadEnter
 // fence — on a real weak machine the entry fence is what makes the
 // validation sound, see internal/memmodel.
-// runSpeculativeLean runs fn speculatively with none of the §3.3 recovery
-// machinery: no speculative frame (asynchronous checkpoints cannot abort
-// it) and no panic handler. Sound only for sections the static analysis
-// proved recovery-free — unable to fault (no indexing, division, calls, or
-// deeper-than-one-hop dereferences) and unable to loop (an inconsistent
-// snapshot cannot spin without a checkpoint to break it). For those the
-// word-unchanged validation in readOnlyImpl is the entire protocol.
-func (l *Lock) runSpeculativeLean(t *jthread.Thread, fn func()) bool {
-	l.st.stripeFor(t).inc(cElisionAttempts)
-	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
-	fn()
-	return true
-}
-
+//
+// One deferred call does both jobs: it always pops the frame, and reaches
+// recover only when fn did not return, so a normal return pays for an
+// open-coded defer and a flag test. Endings that leave by panic (genuine
+// fault, foreign abort) count their attempt here; the retry endings are
+// counted by the caller's failure arm.
 func (l *Lock) runSpeculative(t *jthread.Thread, v uint64, fn func()) (ok, async bool) {
-	l.st.stripeFor(t).inc(cElisionAttempts)
 	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
-	defer t.PopSpec()
+	returned := false
 	defer func() {
+		t.PopSpec()
+		if returned {
+			return
+		}
 		r := recover()
 		if r == nil {
 			return
 		}
+		sp := l.st.stripeFor(t)
 		if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
 			if ire.Word == &l.word {
 				// An asynchronous checkpoint aborted our
 				// speculation: retry.
-				l.st.stripeFor(t).inc(cAsyncAborts)
+				sp.inc(cAsyncAborts)
 				async = true
 				return
 			}
-			// An enclosing section's speculation is stale; let its
-			// handler deal with it.
+			// An enclosing section's speculation is stale: this
+			// attempt fails with it, and the enclosing handler
+			// deals with the rest.
+			sp.inc(cElisionAttempts)
+			sp.inc(cElisionFailures)
+			l.recordAbort(t, true)
 			panic(r)
 		}
 		// A fault escaped fn — the analogue of a runtime exception
@@ -188,12 +201,14 @@ func (l *Lock) runSpeculative(t *jthread.Thread, v uint64, fn func()) (ok, async
 		// the reads may have been inconsistent and the fault is
 		// suppressed; otherwise it is genuine.
 		if l.word.Load() != v {
-			l.st.stripeFor(t).inc(cSuppressedFaults)
+			sp.inc(cSuppressedFaults)
 			return
 		}
-		l.st.stripeFor(t).inc(cGenuineFaults)
+		sp.inc(cElisionAttempts)
+		sp.inc(cGenuineFaults)
 		panic(r)
 	}()
 	fn()
+	returned = true
 	return true, false
 }

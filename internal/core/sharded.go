@@ -101,6 +101,28 @@ type statStripe struct {
 // inc bumps one counter in this stripe.
 func (sp *statStripe) inc(id counterID) { sp.c[id].Add(1) }
 
+// Counting rule. An elision attempt is counted when it ends, not when it
+// starts, so a successful elided read performs exactly one write: the
+// cElisionSuccesses increment. Every other ending — a failure (changed
+// word, suppressed fault, async abort), a genuine fault, a foreign
+// InconsistentReadError rethrow, a read-mostly upgrade or restart — bumps
+// the stored cElisionAttempts slot plus its own outcome counter. The
+// stored slot therefore holds non-success endings only, and every read
+// view derives ElisionAttempts = stored attempts + ElisionSuccesses. Both
+// terms are monotone, so the derived total never moves backwards and is
+// exact at quiescence.
+
+// values returns this stripe's counter block, derived per the counting
+// rule from a single load of each slot: within one block ElisionAttempts
+// is never below ElisionSuccesses, even under concurrent increments.
+func (sp *statStripe) values() (out [numCounters]uint64) {
+	for id := range sp.c {
+		out[id] = sp.c[id].Load()
+	}
+	out[cElisionAttempts] += out[cElisionSuccesses]
+	return out
+}
+
 // Stats counts SOLERO protocol events. Counters are sharded across
 // cache-line-padded stripes indexed by thread id — hot-path increments from
 // different threads touch disjoint lines — and each exported Counter
@@ -119,15 +141,15 @@ type Stats struct {
 	Deflations   Counter
 	FatEnters    Counter
 
-	ElisionAttempts  Counter // speculative executions started
+	ElisionAttempts  Counter // speculative executions ended (see the counting rule)
 	ElisionSuccesses Counter // validated unchanged at exit
-	ElisionFailures  Counter // changed word, suppressed fault, or async abort
+	ElisionFailures  Counter // changed word, suppressed fault, or async abort (own or foreign)
 	Fallbacks        Counter // read sections re-run holding the lock
 	ReadRecursions   Counter // read sections entered reentrantly
 	ReadFatEnters    Counter // read sections run under the fat lock
 
 	SuppressedFaults Counter // panics suppressed as inconsistent reads
-	GenuineFaults    Counter // panics validated as genuine and rethrown
+	GenuineFaults    Counter // speculations ended by a panic validated as genuine
 	AsyncAborts      Counter // speculations aborted at checkpoints
 
 	Upgrades        Counter // read-mostly in-place upgrades
@@ -148,14 +170,15 @@ type Counter struct {
 func (c Counter) Load() uint64 {
 	var sum uint64
 	for i := range c.stripes {
-		sum += c.stripes[i].c[c.id].Load()
+		sum += c.stripes[i].values()[c.id]
 	}
 	return sum
 }
 
 // Add adds n on the first stripe — for external accounting that has no
 // thread at hand. Hot paths inside the package increment the calling
-// thread's stripe instead.
+// thread's stripe instead. Per the counting rule, adding to
+// ElisionSuccesses also raises the derived ElisionAttempts.
 func (c Counter) Add(n uint64) { c.stripes[0].c[c.id].Add(n) }
 
 // newStats builds a Stats block with nstripes stripes (a power of two).
@@ -190,15 +213,24 @@ func (s *Stats) FailureRatio() float64 {
 }
 
 // Snapshot returns a plain-value copy of all counters, aggregated across
-// stripes. Keys are unchanged from the seed implementation.
+// stripes and derived per the counting rule. Keys are unchanged from the
+// seed implementation.
 func (s *Stats) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, int(numCounters))
-	for id := counterID(0); id < numCounters; id++ {
-		var sum uint64
-		for i := range s.stripes {
-			sum += s.stripes[i].c[id].Load()
+	var sum [numCounters]uint64
+	for i := range s.stripes {
+		v := s.stripes[i].values()
+		for id := range sum {
+			sum[id] += v[id]
 		}
-		out[counterKeys[id]] = sum
+	}
+	return keyed(&sum)
+}
+
+// keyed maps a counter block onto Snapshot's key space.
+func keyed(v *[numCounters]uint64) map[string]uint64 {
+	out := make(map[string]uint64, int(numCounters))
+	for id := range v {
+		out[counterKeys[id]] = v[id]
 	}
 	return out
 }
@@ -207,27 +239,23 @@ func (s *Stats) Snapshot() map[string]uint64 {
 // seed's shared-counter layout).
 func (s *Stats) NumStripes() int { return len(s.stripes) }
 
-// StripeSnapshot returns stripe i's un-aggregated counter block, keyed as
-// Snapshot. lockstats -stripes prints these so skew across thread ids is
+// StripeSnapshot returns stripe i's un-aggregated counter block, keyed and
+// derived as Snapshot. lockstats -stripes prints these so skew across thread ids is
 // visible.
 func (s *Stats) StripeSnapshot(i int) map[string]uint64 {
-	out := make(map[string]uint64, int(numCounters))
-	for id := counterID(0); id < numCounters; id++ {
-		out[counterKeys[id]] = s.stripes[i].c[id].Load()
-	}
-	return out
+	v := s.stripes[i].values()
+	return keyed(&v)
 }
 
-// StripeTotals returns the total event count recorded in each stripe — a
-// quick occupancy view of how thread ids spread over stripes.
+// StripeTotals returns each stripe's sum over its derived counters (a
+// successful elision counts as one attempt plus one success) — a quick
+// occupancy view of how thread ids spread over stripes.
 func (s *Stats) StripeTotals() []uint64 {
 	out := make([]uint64, len(s.stripes))
 	for i := range s.stripes {
-		var sum uint64
-		for id := counterID(0); id < numCounters; id++ {
-			sum += s.stripes[i].c[id].Load()
+		for _, n := range s.stripes[i].values() {
+			out[i] += n
 		}
-		out[i] = sum
 	}
 	return out
 }

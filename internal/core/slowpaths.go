@@ -112,7 +112,10 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			// bit can be clobbered by a racing fast release). The
 			// whole park is a Block region: under schedule injection
 			// the token must travel while this thread sleeps, or the
-			// releasing thread could never run to wake it.
+			// releasing thread could never run to wake it. The Or
+			// may land on a word another thread inflated since the
+			// load; fatEnter ignores FLC on an inflated word.
+			l.cfg.Sched.Point(tid, sched.PFLCSet)
 			l.word.Or(lockword.FLCBit)
 			var parkStart time.Time
 			if l.cfg.Metrics != nil {
@@ -166,7 +169,9 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	if mr := l.cfg.Metrics; mr != nil {
 		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 	}
-	if l.word.Load() == lockword.InflatedWord(m.ID()) {
+	// Mask FLC: a contender's late FLC announcement can tag the inflated
+	// word, and an exact compare would then never match (livelock).
+	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
 		l.st.stripeFor(t).inc(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, lockword.InflatedWord(m.ID()))
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)

@@ -72,6 +72,7 @@ const (
 	PTablePin           // montable: about to resolve an observed ticket word
 	PTableSweep         // montable: sweeper about to scan one shard
 	PTableReclaim       // montable: release path about to try reclamation
+	PFLCSet             // about to set the FLC bit on a word seen held
 	numPoints
 )
 
@@ -85,6 +86,7 @@ var pointNames = [numPoints]string{
 	PReadPublish: "read-publish", PRevokeScan: "revoke-scan",
 	PTableBind: "table-bind", PTablePin: "table-pin",
 	PTableSweep: "table-sweep", PTableReclaim: "table-reclaim",
+	PFLCSet: "flc-set",
 }
 
 // String names the point.

@@ -131,6 +131,52 @@ func (p *priorities) Pick(_ int, runnable []Runnable) uint64 {
 	return best
 }
 
+// RunToDone is an unreachable schedule point: a Phase waiting for it runs
+// its thread until the thread leaves the runnable set (ThreadDone or a
+// stuck Block region).
+const RunToDone = Point(255)
+
+// Phase is one leg of a Phased schedule: run TID until it parks at Until
+// (or leaves the runnable set).
+type Phase struct {
+	TID   uint64
+	Until Point
+}
+
+type phased struct {
+	phases []Phase
+	idx    int
+	rr     int
+}
+
+// Phased pins an exact interleaving as a sequence of phases, then drains
+// the run round-robin. It is the point-aware counterpart of Priorities: a
+// phase ends when its thread *arrives somewhere specific*, not merely when
+// it blocks.
+func Phased(phases []Phase) Strategy {
+	return &phased{phases: phases}
+}
+
+func (s *phased) Pick(_ int, runnable []Runnable) uint64 {
+	for s.idx < len(s.phases) {
+		ph := s.phases[s.idx]
+		present, parked := false, false
+		for _, r := range runnable {
+			if r.TID == ph.TID {
+				present = true
+				parked = r.P == ph.Until
+			}
+		}
+		if present && !parked {
+			return ph.TID
+		}
+		s.idx++
+	}
+	pick := runnable[s.rr%len(runnable)].TID
+	s.rr++
+	return pick
+}
+
 // ReplayStrategy re-executes a recorded decision sequence. When the
 // recorded choice is not runnable (the run diverged — real-time blocking
 // resolved differently) it counts the divergence and falls back; after

@@ -301,7 +301,10 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			// Held: announce contention and park (timed — the FLC
 			// bit can be clobbered by a racing fast release). The whole
 			// park is a Block region: under schedule injection the
-			// token must travel while this thread sleeps.
+			// token must travel while this thread sleeps. The Or may
+			// land on a word another thread inflated since the load;
+			// fatEnter ignores FLC on an inflated word.
+			l.cfg.Sched.Point(tid, sched.PFLCSet)
 			l.word.Or(lockword.FLCBit)
 			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
 				m.RawLock()
@@ -338,7 +341,9 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	l.cfg.Sched.Block(t.ID(), sched.PMonitorEnter, func() {
 		m.Enter(t.ID())
 	})
-	if l.word.Load() == lockword.InflatedWord(m.ID()) {
+	// Mask FLC: a contender's late FLC announcement can tag the inflated
+	// word, and an exact compare would then never match (livelock).
+	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
 		l.st.FatEnters.Add(1)
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
