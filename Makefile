@@ -3,8 +3,10 @@
 #   make build     - compile everything
 #   make vet       - go vet ./...
 #   make test      - full test suite
-#   make race      - race-detector pass over the lock core + schedule kernel
-#   make bench     - reader-scaling + alloc-free benchmarks
+#   make race      - race-detector pass over the lock core, schedule kernel
+#                    and public solero API
+#   make bench     - reader-scaling, alloc-free and lock-population
+#                    benchmarks
 #   make check     - tier-1 gate: build + vet + test
 #   make lint      - solerovet speculation-safety analyzers over the module
 #   make lintcatch - inverted lint: seeded violations MUST be reported
@@ -32,9 +34,9 @@
 #                    (+ the seeded -20% fixture MUST fail: anti-vacuity)
 #   make tournament-smoke - every lock backend through the schedule-kernel
 #                    oracle + a quick tournament sanity run
-#   make perfbench-test - perfbench (its own module) unit tests + a 1 s
-#                    read-hot smoke run, so core API changes that break the
-#                    benchmark fail here
+#   make perfbench-test - perfbench (its own module) unit tests + 1 s
+#                    read-hot and sessions smoke runs, so core API changes
+#                    that break the benchmark fail here
 
 GO ?= go
 
@@ -54,12 +56,12 @@ race:
 		./internal/sched/... ./internal/history/... ./internal/schedcheck/... \
 		./internal/monitor/... ./internal/metrics/... ./internal/export/... \
 		./internal/trace/... ./internal/backend/... ./internal/bravo/... \
-		./internal/rwlock/...
+		./internal/rwlock/... ./solero/...
 	$(GO) test -race -short ./internal/montable/... ./internal/vmlock/... \
 		./internal/lockword/...
 
 bench:
-	$(GO) test -bench 'BenchmarkReaderScaling|BenchmarkReadOnlyAllocFree|BenchmarkBackendTournament' -benchtime 200ms .
+	$(GO) test -bench 'BenchmarkReaderScaling|BenchmarkReadOnlyAllocFree|BenchmarkBackendTournament|BenchmarkLockPopulation' -benchtime 200ms .
 
 check: build vet test
 
@@ -306,3 +308,4 @@ json-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 	bash perfbench/run.sh --workload read-hot --seed 1 --seconds 1 --trace 0 >/dev/null
+	bash perfbench/run.sh --workload sessions --seed 1 --seconds 1 --trace 0 >/dev/null

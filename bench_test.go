@@ -9,11 +9,13 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/backend"
 	"repro/internal/collections/hashmap"
@@ -980,6 +982,94 @@ func BenchmarkReadOnlyAllocFreeMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.ReadOnly(th, fn)
 	}
+}
+
+// BenchmarkLockPopulation measures what the per-lock footprint costs once
+// locks outnumber the caches: 131,072 objects, each guarded by its own
+// core.Lock, picked with Zipf s=1.1 through a permutation (so hot objects
+// are scattered over the heap), and every operation takes a read-only
+// snapshot of the object's payload. The rwmutex twin runs the same pick
+// stream over objects that embed a sync.RWMutex. B/lock is the live heap
+// one core.New adds (measured after runtime.GC, as perfbench's
+// core.bytes_per_lock is); the twin's lock is embedded, so its B/lock is
+// the struct size.
+func BenchmarkLockPopulation(b *testing.B) {
+	const (
+		objects = 1 << 17
+		picks   = 1 << 20
+	)
+	type solObj struct {
+		lock *core.Lock
+		a, b atomic.Int64
+	}
+	type rwObj struct {
+		mu   sync.RWMutex
+		a, b atomic.Int64
+	}
+	r := rand.New(rand.NewSource(1))
+	perm := r.Perm(objects)
+	z := rand.NewZipf(r, 1.1, 1, objects-1)
+	pick := make([]uint32, picks)
+	for i := range pick {
+		pick[i] = uint32(perm[z.Uint64()])
+	}
+
+	locks := make([]*core.Lock, objects)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range locks {
+		locks[i] = core.New(nil)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesPerLock := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / objects
+	sol := make([]*solObj, objects)
+	for i := range sol {
+		sol[i] = &solObj{lock: locks[i]}
+	}
+	rw := make([]*rwObj, objects)
+	for i := range rw {
+		rw[i] = &rwObj{}
+	}
+
+	b.Run("solero", func(b *testing.B) {
+		vm := jthread.NewVM()
+		th := vm.Attach("bench")
+		defer th.Detach()
+		var torn uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o := sol[pick[i&(picks-1)]]
+			var x, y int64
+			o.lock.ReadOnly(th, func() { x, y = o.a.Load(), o.b.Load() })
+			if x != y {
+				torn++
+			}
+		}
+		b.StopTimer()
+		if torn != 0 {
+			b.Fatalf("%d torn snapshots", torn)
+		}
+		b.ReportMetric(bytesPerLock, "B/lock")
+	})
+	b.Run("rwmutex", func(b *testing.B) {
+		var torn uint64
+		for i := 0; i < b.N; i++ {
+			o := rw[pick[i&(picks-1)]]
+			o.mu.RLock()
+			x, y := o.a.Load(), o.b.Load()
+			o.mu.RUnlock()
+			if x != y {
+				torn++
+			}
+		}
+		b.StopTimer()
+		if torn != 0 {
+			b.Fatalf("%d torn snapshots", torn)
+		}
+		b.ReportMetric(float64(unsafe.Sizeof(sync.RWMutex{})), "B/lock")
+	})
 }
 
 // --- Substrate microbenchmarks ---

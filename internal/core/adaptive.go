@@ -71,7 +71,7 @@ func (l *Lock) adaptiveSkip(t *jthread.Thread) bool {
 			return false
 		}
 		if l.ad.backoffLeft.CompareAndSwap(left, left-1) {
-			l.st.stripeFor(t).inc(cAdaptiveSkips)
+			l.stripeFor(t).inc(cAdaptiveSkips)
 			return true
 		}
 	}
@@ -84,7 +84,7 @@ func (l *Lock) adaptiveRecord(t *jthread.Thread, failed bool) {
 	if !l.cfg.Adaptive {
 		return
 	}
-	sp := l.st.stripeFor(t)
+	sp := l.stripeFor(t)
 	if failed {
 		sp.adFailures.Add(1)
 	}

@@ -152,18 +152,23 @@ func (c *Config) statsStripeCount() int {
 
 // Lock is a SOLERO lock. The zero value is not ready; use New.
 //
-// The layout keeps the hot lock word alone on its own false-sharing range:
-// an elided read-only section only ever *loads* word, which stays
-// contention-free only if the protocol's bookkeeping writes — the owner's
-// saved word, the adaptive backoff gate, and the (sharded, separately
-// allocated) stats stripes — land on other cache lines.
+// The header is one 64-byte line, the Go stand-in for the paper's one-word
+// lock in the object header (§3, Figure 5). An elided read-only section
+// loads word, cfg and stripes from this line and increments one slot in
+// its thread's stats stripe, so it touches two lock-owned lines. Nothing
+// on the header line is written by readers: saved is written by the owner
+// right after its CAS on word, ad only when an adaptive window trips or a
+// backoff credit is used (both on the unelided path), and cfg, stripes and
+// cold only in New. Fields that only classic fat mode and verify mode use
+// live behind cold.
 type Lock struct {
 	word atomic.Uint64
-	_    [stats.FalseSharingRange - 8]byte
+	cfg  *Config
 
-	mon atomic.Pointer[monitor.Monitor]
-	cfg *Config
-	st  *Stats
+	// stripes holds the lock's event counters and adaptive windows, one
+	// cache-line-padded stripe per thread stripe (sharded.go); Stats
+	// builds its read view over them on demand.
+	stripes []statStripe
 
 	// saved is the owner's "local lock variable": the free word read
 	// immediately before the acquiring CAS. Only the flat owner accesses
@@ -175,6 +180,15 @@ type Lock struct {
 	// rare backoff gate); the per-execution window counters live in the
 	// stats stripes (see adaptive.go).
 	ad adaptiveState
+
+	cold *lockCold
+}
+
+// lockCold holds the fields no flat-mode lock operation touches.
+type lockCold struct {
+	// mon is the classic per-lock fat-mode monitor, bound on first
+	// inflation (unused when Config.Monitors is set).
+	mon atomic.Pointer[monitor.Monitor]
 
 	// staticID is the lock's solerovet identity ("Type.mu" /
 	// "pkgpath.name"), set by SetStaticID. Verify-mode registries compare
@@ -190,7 +204,7 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	return &Lock{cfg: cfg, st: newStats(cfg.statsStripeCount())}
+	return &Lock{cfg: cfg, stripes: make([]statStripe, cfg.statsStripeCount()), cold: new(lockCold)}
 }
 
 // Word returns the raw lock word (diagnostics and tests).
@@ -202,13 +216,19 @@ func (l *Lock) Word() uint64 { return l.word.Load() }
 // when a speculating section touches a field whose facts-file guard is a
 // different lock. Set it once at construction; "" (the default) disables
 // the cross-check for this lock.
-func (l *Lock) SetStaticID(id string) { l.staticID = id }
+func (l *Lock) SetStaticID(id string) { l.cold.staticID = id }
 
 // StaticID returns the identity set by SetStaticID.
-func (l *Lock) StaticID() string { return l.staticID }
+func (l *Lock) StaticID() string { return l.cold.staticID }
 
-// Stats exposes the lock's event counters.
-func (l *Lock) Stats() *Stats { return l.st }
+// Stats returns a read view of the lock's event counters. The view is
+// built on demand over the lock's stripes, so it always reads current
+// values; a caller that does not keep it gets it on the stack.
+func (l *Lock) Stats() *Stats {
+	s := new(Stats)
+	s.bind(l.stripes)
+	return s
+}
 
 // Config returns the lock's configuration.
 func (l *Lock) Config() *Config { return l.cfg }
@@ -229,14 +249,14 @@ func (l *Lock) HeldBy(t *jthread.Thread) bool {
 }
 
 func (l *Lock) monitorFor() *monitor.Monitor {
-	if m := l.mon.Load(); m != nil {
+	if m := l.cold.mon.Load(); m != nil {
 		return m
 	}
 	m := monitor.Global.New()
-	if l.mon.CompareAndSwap(nil, m) {
+	if l.cold.mon.CompareAndSwap(nil, m) {
 		return m
 	}
-	return l.mon.Load()
+	return l.cold.mon.Load()
 }
 
 // Lock acquires the lock for a writing critical section (Figure 6): CAS the
@@ -250,7 +270,7 @@ func (l *Lock) Lock(t *jthread.Thread) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.saved = v
-				l.st.stripeFor(t).inc(cFastAcquires)
+				l.stripeFor(t).inc(cFastAcquires)
 				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)

@@ -243,8 +243,8 @@ func TestCountingInvariantNestedForeignAbort(t *testing.T) {
 // rawStripeSum sums every stored stats slot of l, derived views aside.
 func rawStripeSum(l *Lock) uint64 {
 	var sum uint64
-	for i := range l.st.stripes {
-		sp := &l.st.stripes[i]
+	for i := range l.stripes {
+		sp := &l.stripes[i]
 		for id := range sp.c {
 			sum += sp.c[id].Load()
 		}

@@ -63,7 +63,7 @@ func (s *Section) BeforeWrite() {
 		s.holding, s.upgraded = true, true
 		s.popFrame()
 		// The speculative attempt ends here, as an upgrade.
-		sp := l.st.stripeFor(t)
+		sp := l.stripeFor(t)
 		sp.inc(cElisionAttempts)
 		sp.inc(cUpgrades)
 		l.cfg.Tracer.Record(trace.EvUpgrade, t.ID(), s.v)
@@ -86,7 +86,7 @@ func (s *Section) BeforeWrite() {
 	// Not holding and the snapshot is stale: acquire for real, then
 	// unwind so the section re-executes holding the lock. The
 	// speculative attempt ends here, as a restart.
-	sp := l.st.stripeFor(t)
+	sp := l.stripeFor(t)
 	sp.inc(cElisionAttempts)
 	sp.inc(cUpgradeFailures)
 	l.Lock(t)
@@ -155,20 +155,20 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v || l.slowReadExit(t, v) {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+				l.stripeFor(t).inc(cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
 			}
 		case specRestartHolding:
 			// BeforeWrite acquired the lock after a failed upgrade;
 			// re-execute holding it.
-			l.st.stripeFor(t).inc(cFallbacks)
+			l.stripeFor(t).inc(cFallbacks)
 			l.runLockedSection(t, fn)
 			return
 		case specFailed, specFailedAsync:
 			// fall through to the retry/fallback accounting
 		}
-		sp := l.st.stripeFor(t)
+		sp := l.stripeFor(t)
 		sp.inc(cElisionAttempts)
 		sp.inc(cElisionFailures)
 		l.recordAbort(t, outcome == specFailedAsync)
@@ -220,7 +220,7 @@ func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section),
 			outcome = specRestartHolding
 			return
 		}
-		sp := l.st.stripeFor(t)
+		sp := l.stripeFor(t)
 		if s.holding {
 			// Reads are consistent once holding; the fault is
 			// genuine. Release and rethrow.

@@ -83,14 +83,14 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v || l.slowReadExit(t, v) {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+				l.stripeFor(t).inc(cElisionSuccesses)
 				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				l.adaptiveRecord(t, false)
 				return true
 			}
 		}
-		sp := l.st.stripeFor(t)
+		sp := l.stripeFor(t)
 		sp.inc(cElisionAttempts)
 		sp.inc(cElisionFailures)
 		l.cfg.Tracer.Record(trace.EvElideFailure, t.ID(), v)
@@ -179,7 +179,7 @@ func (l *Lock) runSpeculative(t *jthread.Thread, v uint64, fn func()) (ok, async
 		if r == nil {
 			return
 		}
-		sp := l.st.stripeFor(t)
+		sp := l.stripeFor(t)
 		if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
 			if ire.Word == &l.word {
 				// An asynchronous checkpoint aborted our

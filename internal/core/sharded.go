@@ -23,7 +23,7 @@ import (
 type counterID uint8
 
 // Counter ids, in the seed Stats block's declaration order (Snapshot's key
-// space and newStats's field table follow this order).
+// space and Stats.bind's field table follow this order).
 const (
 	cFastAcquires counterID = iota
 	cSlowAcquires
@@ -123,14 +123,20 @@ func (sp *statStripe) values() (out [numCounters]uint64) {
 	return out
 }
 
-// Stats counts SOLERO protocol events. Counters are sharded across
+// stripeFor returns the calling thread's stripe. The stripe count is a
+// power of two, so the mask is the length minus one.
+func (l *Lock) stripeFor(t *jthread.Thread) *statStripe {
+	return &l.stripes[t.StripeIndex()&uint32(len(l.stripes)-1)]
+}
+
+// Stats counts SOLERO protocol events. It is a read view over a lock's
+// stripes (see (*Lock).Stats): counters are sharded across
 // cache-line-padded stripes indexed by thread id — hot-path increments from
 // different threads touch disjoint lines — and each exported Counter
 // aggregates its stripes on Load. The elision counters feed the paper's
 // Figure 15 failure-ratio experiment.
 type Stats struct {
 	stripes []statStripe
-	mask    uint32
 
 	FastAcquires Counter // uncontended writing acquisitions
 	SlowAcquires Counter
@@ -160,7 +166,7 @@ type Stats struct {
 }
 
 // Counter is a read view of one aggregated protocol counter: Load sums the
-// owning Stats block's stripes. Copying a Counter is cheap and safe.
+// owning lock's stripes. Copying a Counter is cheap and safe.
 type Counter struct {
 	stripes []statStripe
 	id      counterID
@@ -181,10 +187,10 @@ func (c Counter) Load() uint64 {
 // ElisionSuccesses also raises the derived ElisionAttempts.
 func (c Counter) Add(n uint64) { c.stripes[0].c[c.id].Add(n) }
 
-// newStats builds a Stats block with nstripes stripes (a power of two).
-func newStats(nstripes int) *Stats {
-	s := &Stats{stripes: make([]statStripe, nstripes), mask: uint32(nstripes - 1)}
-	for id, f := range []*Counter{
+// bind points s and each of its Counter views at stripes.
+func (s *Stats) bind(stripes []statStripe) {
+	s.stripes = stripes
+	for id, f := range [numCounters]*Counter{
 		&s.FastAcquires, &s.SlowAcquires, &s.Recursions, &s.SpinAcquires,
 		&s.FLCWaits, &s.Inflations, &s.Deflations, &s.FatEnters,
 		&s.ElisionAttempts, &s.ElisionSuccesses, &s.ElisionFailures,
@@ -192,14 +198,8 @@ func newStats(nstripes int) *Stats {
 		&s.SuppressedFaults, &s.GenuineFaults, &s.AsyncAborts,
 		&s.Upgrades, &s.UpgradeFailures, &s.AdaptiveTrips, &s.AdaptiveSkips,
 	} {
-		*f = Counter{stripes: s.stripes, id: counterID(id)}
+		*f = Counter{stripes: stripes, id: counterID(id)}
 	}
-	return s
-}
-
-// stripeFor returns the calling thread's stripe.
-func (s *Stats) stripeFor(t *jthread.Thread) *statStripe {
-	return &s.stripes[t.StripeIndex()&s.mask]
 }
 
 // FailureRatio returns ElisionFailures / ElisionAttempts as a percentage

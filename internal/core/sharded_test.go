@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -273,6 +274,64 @@ func TestSingleStripeMatchesSeedSemantics(t *testing.T) {
 	for k, v := range shared {
 		if sharded[k] != v {
 			t.Errorf("counter %q: shared %d != sharded %d", k, v, sharded[k])
+		}
+	}
+}
+
+// TestStatsViewOnDemand checks the on-demand Stats view: a view taken
+// before N reads reports them afterwards, Counter.Add through one view
+// shows up in a fresh one, every Counter field is bound to its own id over
+// the lock's stripes, and NumStripes/StripeSnapshot read the lock's stripes.
+func TestStatsViewOnDemand(t *testing.T) {
+	vm := jthread.NewVM()
+	l := New(stripedCfg(4))
+	th := vm.Attach("t")
+
+	early := l.Stats()
+	const n = 25
+	for i := 0; i < n; i++ {
+		l.ReadOnly(th, func() {})
+	}
+	if got := early.ElisionSuccesses.Load(); got != n {
+		t.Fatalf("early view: %d successes, want %d", got, n)
+	}
+	if got := early.ElisionAttempts.Load(); got != n {
+		t.Fatalf("early view: %d attempts, want %d", got, n)
+	}
+
+	l.Stats().FastAcquires.Add(5)
+	if got := l.Stats().FastAcquires.Load(); got != 5 {
+		t.Fatalf("fresh view: FastAcquires = %d after Add(5) through another view, want 5", got)
+	}
+	if got := early.FastAcquires.Load(); got != 5 {
+		t.Fatalf("early view: FastAcquires = %d after Add(5), want 5", got)
+	}
+
+	st := l.Stats()
+	rv := reflect.ValueOf(st).Elem()
+	id := counterID(0)
+	for i := 0; i < rv.NumField(); i++ {
+		if !rv.Type().Field(i).IsExported() {
+			continue
+		}
+		c := rv.Field(i).Interface().(Counter)
+		if c.id != id || len(c.stripes) != len(l.stripes) || &c.stripes[0] != &l.stripes[0] {
+			t.Fatalf("Stats.%s bound to id %d over %d stripes, want id %d over the lock's %d",
+				rv.Type().Field(i).Name, c.id, len(c.stripes), id, len(l.stripes))
+		}
+		id++
+	}
+	if id != numCounters {
+		t.Fatalf("Stats has %d Counter fields, want %d", id, numCounters)
+	}
+
+	if st.NumStripes() != len(l.stripes) {
+		t.Fatalf("NumStripes = %d, lock has %d stripes", st.NumStripes(), len(l.stripes))
+	}
+	for i := range l.stripes {
+		v := l.stripes[i].values()
+		if got, want := st.StripeSnapshot(i), keyed(&v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("StripeSnapshot(%d) = %v, lock stripe holds %v", i, got, want)
 		}
 	}
 }

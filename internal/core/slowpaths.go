@@ -18,7 +18,7 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 // slowEnter is solero_slow_enter: reentrant acquisition, contention
 // management, and fat-mode entry for writing critical sections.
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
-	l.st.stripeFor(t).inc(cSlowAcquires)
+	l.stripeFor(t).inc(cSlowAcquires)
 	l.cfg.Tracer.Record(trace.EvAcquireSlow, t.ID(), v)
 	if m := l.cfg.Metrics; m != nil {
 		start := time.Now()
@@ -36,7 +36,7 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 				return
 			}
 		case lockword.SoleroHeldBy(v, tid):
-			l.st.stripeFor(t).inc(cRecursions)
+			l.stripeFor(t).inc(cRecursions)
 			if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 				l.inflateAsOwner(t, v, 1)
 				return
@@ -75,7 +75,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			if lockword.SoleroFree(v) {
 				if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 					l.saved = v
-					l.st.stripeFor(t).inc(cSpinAcquires)
+					l.stripeFor(t).inc(cSpinAcquires)
 					l.cfg.History.Record(history.Acquire, tid, v)
 					return true
 				}
@@ -124,7 +124,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				if w := l.word.Load(); lockword.SoleroHeld(w) {
-					l.st.stripeFor(t).inc(cFLCWaits)
+					l.stripeFor(t).inc(cFLCWaits)
 					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
@@ -144,7 +144,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 					m.BroadcastLocked() // other FLC waiters must re-read
 					m.RawUnlock()
 				})
-				l.st.stripeFor(t).inc(cInflations)
+				l.stripeFor(t).inc(cInflations)
 				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
@@ -172,7 +172,7 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	// Mask FLC: a contender's late FLC announcement can tag the inflated
 	// word, and an exact compare would then never match (livelock).
 	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
-		l.st.stripeFor(t).inc(cFatEnters)
+		l.stripeFor(t).inc(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, lockword.InflatedWord(m.ID()))
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
@@ -200,7 +200,7 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 		m.BroadcastLocked()
 		m.RawUnlock()
 	})
-	l.st.stripeFor(t).inc(cInflations)
+	l.stripeFor(t).inc(cInflations)
 	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
 	l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
@@ -221,7 +221,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 		var deflate func()
 		if l.cfg.Deflate {
 			deflate = func() {
-				l.st.stripeFor(t).inc(cDeflations)
+				l.stripeFor(t).inc(cDeflations)
 				l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
 				// Runs under the monitor mutex, so no schedule point
 				// here; the Block around ExitDeflating covers it.
@@ -273,7 +273,7 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	v = l.word.Load()
 	// test_recursion: the thread already holds the flat lock.
 	if lockword.SoleroHeldBy(v, tid) {
-		l.st.stripeFor(t).inc(cReadRecursions)
+		l.stripeFor(t).inc(cReadRecursions)
 		if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 			if m := l.cfg.Metrics; m != nil {
 				m.RecordAbort(t.StripeIndex(), metrics.AbortRecursionOverflow)
@@ -311,7 +311,7 @@ inflation:
 		m.RecordAbort(t.StripeIndex(), abortCauseFor(v))
 	}
 	l.contendForRead(t)
-	l.st.stripeFor(t).inc(cReadFatEnters)
+	l.stripeFor(t).inc(cReadFatEnters)
 	return 0, true
 }
 
@@ -380,7 +380,7 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 		var deflate func()
 		if l.cfg.Deflate {
 			deflate = func() {
-				l.st.stripeFor(t).inc(cDeflations)
+				l.stripeFor(t).inc(cDeflations)
 				l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
 				l.word.Store(m.SavedCounter)
 			}
@@ -402,7 +402,7 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 }
 
 func (l *Lock) heldFat(tid uint64) bool {
-	m := l.mon.Load()
+	m := l.cold.mon.Load()
 	return m != nil && m.HeldBy(tid)
 }
 

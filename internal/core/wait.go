@@ -91,7 +91,7 @@ func (l *Lock) Notify(t *jthread.Thread) {
 		l.notifyTable(t, false)
 		return
 	}
-	if m := l.mon.Load(); m != nil {
+	if m := l.cold.mon.Load(); m != nil {
 		m.NotifyOne()
 	}
 }
@@ -106,7 +106,7 @@ func (l *Lock) NotifyAll(t *jthread.Thread) {
 		l.notifyTable(t, true)
 		return
 	}
-	if m := l.mon.Load(); m != nil {
+	if m := l.cold.mon.Load(); m != nil {
 		m.NotifyAllCond()
 	}
 }

@@ -165,7 +165,7 @@ func TestNotifyAllWakesEveryWaiter(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("waiters never all parked")
 		}
-		if m := l.mon.Load(); m != nil && m.CondWaiters() == waiters {
+		if m := l.cold.mon.Load(); m != nil && m.CondWaiters() == waiters {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -204,7 +204,7 @@ func TestNotifyWakesExactlyOne(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("waiters never parked")
 		}
-		if m := l.mon.Load(); m != nil && m.CondWaiters() == waiters {
+		if m := l.cold.mon.Load(); m != nil && m.CondWaiters() == waiters {
 			break
 		}
 		time.Sleep(time.Millisecond)

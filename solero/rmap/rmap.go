@@ -1,8 +1,9 @@
 // Package rmap provides a concurrent map for read-mostly workloads, built
 // from SOLERO-guarded shards: lookups run as elided read-only critical
-// sections (no atomic operations, no lock-word writes), updates take the
-// writing protocol, and GetOrCompute uses the §5 read-mostly upgrade so
-// cache-hit paths stay elided while misses install entries in place.
+// sections (no lock-word writes; one atomic increment in the reader's own
+// stats stripe), updates take the writing protocol, and GetOrCompute uses
+// the §5 read-mostly upgrade so cache-hit paths stay elided while misses
+// install entries in place.
 //
 // Sharding follows the paper's fine-grained HashMap variant (Figure 12c):
 // one lock per shard keeps writer-induced speculation failures local to a

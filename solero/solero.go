@@ -7,7 +7,9 @@
 // Java monitor: writing critical sections acquire the lock with a CAS and
 // publish a fresh counter on release; read-only critical sections run
 // speculatively and merely validate that the lock word never changed,
-// writing nothing — no atomic operations, no cache-line invalidations.
+// without writing it. The one write a successful read makes is a single
+// atomic increment in the calling thread's own stats stripe of the lock,
+// so readers on different cores never invalidate each other's lines.
 //
 // # Quick start
 //
